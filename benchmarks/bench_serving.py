@@ -89,8 +89,7 @@ def test_serving_amortizes_over_cold(benchmark, report):
 
     def serve_all():
         t0 = time.perf_counter()
-        with AnalyticsEngine(P, edges=edges, n=N,
-                             batch_window=0.05) as eng:
+        with AnalyticsEngine(P, edges=edges, n=N) as eng:
             ids = [eng.submit(kind, **params) for kind, params in WORKLOAD]
             for jid in ids:
                 eng.result(jid)

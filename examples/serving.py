@@ -35,19 +35,22 @@ def main() -> None:
     print(f"generated crawl: {args.n:,} pages, {len(edges):,} links")
 
     t0 = time.perf_counter()
-    with AnalyticsEngine(args.ranks, edges=edges, n=args.n,
-                         batch_window=0.05) as eng:
+    with AnalyticsEngine(args.ranks, edges=edges, n=args.n) as eng:
         print(f"engine up in {time.perf_counter() - t0:.2f}s "
               f"(graph fingerprint {eng.fingerprint})")
 
         # --- 1. a burst of mixed queries ------------------------------
+        # Paused, the burst queues up as it would behind a busy
+        # dispatcher; queued same-kind queries then coalesce.
         rng = np.random.default_rng(7)
         t0 = time.perf_counter()
+        eng.pause()
         bfs_ids = [eng.submit("bfs", source=int(s))
                    for s in rng.integers(0, args.n, 6)]
         ppr_ids = [eng.submit("ppr", seed=int(s), max_iters=20)
                    for s in rng.integers(0, args.n, 4)]
         pr_id = eng.submit("pagerank", max_iters=10)
+        eng.resume()
         for jid in bfs_ids + ppr_ids:
             eng.result(jid)
         pr = eng.result(pr_id)

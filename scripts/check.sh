@@ -4,8 +4,9 @@
 # the checked-in baseline), the seeded-violation fixture corpora (run as
 # the parametrized pytest module tests/test_check_corpus.py), the runtime
 # race fixtures, one smoke run per versioned benchmarks/BENCH_*.json
-# baseline (fails on ratio regression vs the recorded baseline), and the
-# tier-1 suite twice (verifier on; then buffer sanitizer on as well).
+# baseline (fails on ratio regression vs the recorded baseline), the
+# perfbench harness's own tests, and the tier-1 suite twice (verifier
+# on; then buffer sanitizer on as well).
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -75,6 +76,11 @@ for baseline in benchmarks/BENCH_*.json; do
     echo "== bench smoke: $bench (guards $baseline) =="
     PYTHONPATH=src python "$bench" --smoke
 done
+
+echo "== repository benchmark harness tests (perfbench/tests) =="
+# Not under testpaths: the harness's own unit tests (statistics, open-loop
+# schedule, spans, run-line contract) run here instead.
+PYTHONPATH=src python -m pytest -q perfbench/tests
 
 echo "== serve smoke: 2-replica group, mixed query+update workload =="
 # End-to-end through the CLI: start a replica group, serve point and

@@ -399,12 +399,28 @@ def _summarize_result(kind: str, res) -> str:
     return str(res)
 
 
-def _serve_group(args: argparse.Namespace, queries: list,
-                 backend: str) -> int:
-    """``repro serve --replicas N``: the replicated serving tier."""
+def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from .serve import ReplicaGroup, ShedError
+
+    backend = _resolve_backend(args.backend)
+    if backend is None:
+        return 2
+    if args.queries is None:
+        text = _DEFAULT_QUERIES
+    elif str(args.queries) == "-":
+        text = sys.stdin.read()
+    else:
+        text = Path(args.queries).read_text()
+    try:
+        queries = [q for q in
+                   (_parse_query_line(ln) for ln in text.splitlines())
+                   if q is not None]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    queries = queries * args.repeat
 
     t0 = time.perf_counter()
     group = ReplicaGroup(
@@ -413,7 +429,7 @@ def _serve_group(args: argparse.Namespace, queries: list,
         snapshot_reads=args.snapshot_reads,
         path=args.input, width=args.width, partition=args.partition,
         checkpoint=args.checkpoint, save_checkpoint=args.save_checkpoint,
-        max_pending=args.max_pending, batch_window=args.batch_window,
+        max_pending=args.max_pending,
         cache_capacity=args.cache, default_timeout=args.timeout,
         backend=backend,
     )
@@ -423,7 +439,8 @@ def _serve_group(args: argparse.Namespace, queries: list,
           f"ranks ({eng0.backend}), n={eng0.n_global:,}, "
           f"m={eng0.m_global:,}, {args.partition} partitioning, "
           f"snapshot reads {'on' if args.snapshot_reads else 'off'}, "
-          f"built in {build_s:.3f} s")
+          f"graph {eng0.built_from} in {build_s:.3f} s "
+          f"[fingerprint {eng0.fingerprint}]")
     try:
         # Live update feed: split the update file into batches and
         # interleave them with the query stream (wait='none' — replicas
@@ -444,14 +461,17 @@ def _serve_group(args: argparse.Namespace, queries: list,
         def drain():
             # In-flight slots (and snapshot leases) are released at
             # result(): reaping tickets is what opens admission back up
-            # after a shed.
+            # after a shed.  The job is peeked first because result()
+            # pops it from its engine.
             for ticket, kind in tickets:
+                engine = group.replicas[ticket.replica_id].engine
+                job = engine.job(ticket.job_id)
                 res = group.result(ticket, timeout=args.timeout)
-                lat = time.monotonic() - ticket.t_submit
+                tag = "cache" if job.cached else "ran"
                 epoch = ("live" if ticket.at_epoch is None
                          else f"E{ticket.at_epoch}")
-                print(f"  {kind:<10} {lat * 1e3:9.2f} ms  "
-                      f"[rep {ticket.replica_id}|{epoch:>5}]  "
+                print(f"  {kind:<10} {(job.latency_s or 0.0) * 1e3:9.2f} ms"
+                      f"  [{tag:>5}] [rep {ticket.replica_id}|{epoch:>5}]  "
                       f"{_summarize_result(kind, res)}")
             tickets.clear()
 
@@ -500,121 +520,26 @@ def _serve_group(args: argparse.Namespace, queries: list,
                   f"misses, {ct['evictions']} evicted, "
                   f"{ct['invalidations']} invalidated")
             for rs in status["per_replica"]:
-                c = rs["cache"]
+                j, c, m = rs["jobs"], rs["cache"], rs["comm"]
+                st = rs["stream"]
                 pins = sum(rs["snapshots"]["pinned"].values())
                 print(f"  replica {rs['id']}: epoch {rs['epoch']}, "
                       f"seq {rs['applied_seq']}, "
-                      f"{rs['jobs']['completed']} jobs, cache "
-                      f"{c['hits']}h/{c['misses']}m/{c['evictions']}e/"
-                      f"{c['invalidations']}i "
-                      f"(rate {c['hit_rate']:.0%}), {pins} pins, "
+                      f"+{st['edges_inserted']}/-{st['edges_deleted']} "
+                      f"edges, {pins} pins, "
                       f"ewma {rs['ewma_latency_s'] * 1e3:.1f} ms")
+                print(f"    jobs: {j['completed']} completed, "
+                      f"{j['failed']} failed, {j['batches']} dispatches "
+                      f"(largest batch {j['max_batch_size']})")
+                print(f"    cache: {c['hits']} hits / {c['misses']} misses "
+                      f"(rate {c['hit_rate']:.0%}), {c['evictions']} "
+                      f"evicted, {c['invalidations']} invalidated, "
+                      f"{c['size']}/{c['capacity']} entries")
+                print(f"    comm: {m['bytes_sent'] / 1e6:.2f} MB sent over "
+                      f"{m['n_collectives']} collectives, "
+                      f"idle {m['idle_s']:.3f} s, xfer {m['comm_s']:.3f} s")
     finally:
         group.shutdown()
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from .service import AdmissionError, AnalyticsEngine
-
-    backend = _resolve_backend(args.backend)
-    if backend is None:
-        return 2
-    if args.queries is None:
-        text = _DEFAULT_QUERIES
-    elif str(args.queries) == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(args.queries).read_text()
-    try:
-        queries = [q for q in
-                   (_parse_query_line(ln) for ln in text.splitlines())
-                   if q is not None]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    queries = queries * args.repeat
-
-    if args.replicas > 1:
-        return _serve_group(args, queries, backend)
-
-    t0 = time.perf_counter()
-    engine = AnalyticsEngine(
-        args.ranks, path=args.input, width=args.width,
-        partition=args.partition,
-        checkpoint=args.checkpoint, save_checkpoint=args.save_checkpoint,
-        max_pending=args.max_pending, batch_window=args.batch_window,
-        cache_capacity=args.cache, default_timeout=args.timeout,
-        backend=backend,
-    )
-    build_s = time.perf_counter() - t0
-    print(f"engine up: n={engine.n_global:,}, m={engine.m_global:,}, "
-          f"{args.ranks} ranks ({engine.backend}), "
-          f"{args.partition} partitioning, "
-          f"graph {engine.built_from} in {build_s:.3f} s "
-          f"[fingerprint {engine.fingerprint}]")
-    try:
-        pending: list[tuple[int, str]] = []
-
-        def drain():
-            for job_id, kind in pending:
-                job = engine.job(job_id)
-                res = engine.result(job_id)
-                lat = job.latency_s or 0.0
-                tag = "cache" if job.cached else "ran"
-                print(f"  {kind:<10} {lat * 1e3:9.2f} ms  [{tag:>5}]  "
-                      f"{_summarize_result(kind, res)}")
-            pending.clear()
-
-        def run_workload() -> float:
-            t0 = time.perf_counter()
-            for kind, params in queries:
-                while True:
-                    try:
-                        pending.append((engine.submit(kind, **params), kind))
-                        break
-                    except AdmissionError:
-                        drain()  # backlog full: consume results, then retry
-            drain()
-            return time.perf_counter() - t0
-
-        serve_s = run_workload()
-        if args.updates is not None:
-            # Live mutation: apply the update batch, then replay the same
-            # workload against the new epoch (shows invalidation at work).
-            from .stream import read_updates_text
-
-            batch = read_updates_text(args.updates)
-            out = engine.apply_updates(batch.src, batch.dst, batch.op,
-                                       batch.values)
-            print(f"applied {batch.n} updates: epoch {out['epoch']}, "
-                  f"+{out['n_inserted']} -{out['n_deleted']} "
-                  f"(missing {out['n_missing']}), m={out['m_global']:,} "
-                  f"[fingerprint {engine.fingerprint}]")
-            serve_s += run_workload()
-        status = engine.status()
-        nq = len(queries) * (2 if args.updates is not None else 1)
-        print(f"served {nq} queries in {serve_s:.3f} s "
-              f"({serve_s / max(nq, 1) * 1e3:.2f} ms/query amortized; "
-              f"cold build was {build_s:.3f} s)")
-        if args.status_json:
-            print(json.dumps(status, indent=2))
-        else:
-            j, c, m = status["jobs"], status["cache"], status["comm"]
-            print(f"  jobs: {j['completed']} completed, {j['failed']} failed, "
-                  f"{j['batches']} dispatches "
-                  f"(largest batch {j['max_batch_size']})")
-            print(f"  cache: {c['hits']} hits / {c['misses']} misses "
-                  f"(rate {c['hit_rate']:.0%}), {c['evictions']} evicted, "
-                  f"{c['invalidations']} invalidated, "
-                  f"{c['size']}/{c['capacity']} entries")
-            print(f"  comm: {m['bytes_sent'] / 1e6:.2f} MB sent over "
-                  f"{m['n_collectives']} collectives, "
-                  f"idle {m['idle_s']:.3f} s, xfer {m['comm_s']:.3f} s")
-    finally:
-        engine.shutdown()
     return 0
 
 
@@ -876,33 +801,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the built graph to this directory")
     s.add_argument("--timeout", type=float, default=60.0,
                    help="default per-job timeout in seconds")
-    s.add_argument("--batch-window", type=float, default=0.02,
-                   help="batching window seconds for coalescible queries")
     s.add_argument("--max-pending", type=int, default=64,
                    help="admission bound on queued jobs")
     s.add_argument("--cache", type=int, default=128,
                    help="result-cache capacity (0 disables)")
     s.add_argument("--updates", type=Path, default=None,
-                   help="edge-update file ('[+|-] src dst [w]' per line); "
-                        "applied after the first workload pass, then the "
-                        "workload replays against the updated graph (with "
-                        "--replicas N: fed live, interleaved with queries)")
+                   help="edge-update file ('[+|-] src dst [w]' per line), "
+                        "fed live through the shared update log, "
+                        "interleaved with the queries")
     s.add_argument("--replicas", type=int, default=1,
-                   help="serve through a replica group of this many engine "
-                        "replicas (consistent-hash routing, admission "
-                        "control, shared update log); 1 = single engine")
+                   help="number of engine replicas in the serving group "
+                        "(consistent-hash routing, admission control, "
+                        "shared update log)")
     s.add_argument("--max-inflight", type=int, default=8,
                    help="per-replica in-flight admission bound before the "
-                        "router spills / sheds (replica group only)")
+                        "router spills / sheds")
     s.add_argument("--snapshot-reads", action="store_true",
                    help="pin every read to its replica's current epoch "
-                        "(MVCC snapshot isolation; replica group only)")
+                        "(MVCC snapshot isolation)")
     s.add_argument("--update-batch", type=int, default=0,
                    help="split --updates into batches of this many updates "
-                        "for live feeding (replica group only; 0 = one "
-                        "batch)")
+                        "for live feeding (0 = one batch)")
     s.add_argument("--status-json", action="store_true",
-                   help="dump the final engine status as JSON")
+                   help="dump the final replica-group status as JSON")
     s.add_argument("--width", type=int, default=32, choices=(32, 64))
     add_backend(s)
     s.set_defaults(fn=_cmd_serve)

@@ -167,6 +167,7 @@ class Replica:
                 "snapshots": eng["snapshots"],
                 "jobs": eng["jobs"],
                 "stream": eng["stream"],
+                "comm": eng["comm"],
             }
 
     def close(self) -> None:

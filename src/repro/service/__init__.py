@@ -8,9 +8,9 @@ that layer:
   checkpoint-loads the distributed graph exactly once, and serves
   ``submit()``/``result()`` queries with per-job timeouts and failure
   isolation (a crashing job aborts only itself);
-* :class:`JobScheduler` — bounded-FIFO admission control plus a batching
-  window that coalesces compatible queries (k BFS sources → one
-  multi-source run, k PPR seeds → one blocked sweep);
+* :class:`JobScheduler` — bounded-FIFO admission control plus coalescing
+  of compatible queued queries (k BFS sources → one multi-source run,
+  k PPR seeds → one blocked sweep);
 * :class:`ResultCache` — LRU keyed on (graph fingerprint, analytic,
   canonical params) with hit/miss/eviction counters.
 

@@ -27,7 +27,7 @@ gets a fresh one.)
 Query flow::
 
     submit() ── cache hit? ──> finish immediately
-        └─ no ─> JobScheduler (admission control + batching window)
+        └─ no ─> JobScheduler (admission control + queue coalescing)
                      └─> dispatcher thread ─> backend session
                              └─> batched/single analytic over the shards
                                      └─> result split per job, cached
@@ -563,8 +563,8 @@ class AnalyticsEngine:
         the input source.
     save_checkpoint:
         Directory to write the freshly built graph to (for later reloads).
-    max_pending, batch_window, max_batch:
-        Scheduler admission bound and coalescing window.
+    max_pending:
+        Scheduler admission bound on queued jobs.
     cache_capacity:
         LRU result-cache capacity (0 disables caching).
     default_timeout:
@@ -598,8 +598,6 @@ class AnalyticsEngine:
         checkpoint: str | Path | None = None,
         save_checkpoint: str | Path | None = None,
         max_pending: int = 64,
-        batch_window: float = 0.02,
-        max_batch: int = 16,
         cache_capacity: int = 128,
         default_timeout: float | None = 60.0,
         build_timeout: float | None = 300.0,
@@ -627,14 +625,11 @@ class AnalyticsEngine:
         # to REPRO_SANITIZE_BUFFERS); see repro.runtime.sanitize.
         self.sanitize = sanitize
         self._closed = False
-        self._paused = False
         self._lock = threading.Lock()
         self._t_start = time.perf_counter()
 
         self.cache = ResultCache(cache_capacity)
-        self.scheduler = JobScheduler(max_pending=max_pending,
-                                      batch_window=batch_window,
-                                      max_batch=max_batch)
+        self.scheduler = JobScheduler(max_pending=max_pending)
         self._jobs: dict[int, Job] = {}
         self._next_id = 0
         self._counters = {
@@ -708,18 +703,21 @@ class AnalyticsEngine:
 
     def _dispatch_loop(self) -> None:
         while not self._closed:
-            if self._paused:
-                time.sleep(0.005)
-                continue
             batch = self.scheduler.next_batch(poll_timeout=0.05)
             if not batch:
                 continue
             try:
                 self._execute_batch(batch)
-            except Exception as exc:  # pragma: no cover - defensive
-                for job in batch:
-                    job.finish(error=JobFailedError(
-                        f"dispatch error: {exc}"))
+            except Exception as exc:
+                # The session itself failed (e.g. a broken worker pipe):
+                # fail every job still pending, cache hits already served.
+                failed = [job for job in batch if not job.done.is_set()]
+                with self._lock:
+                    self._counters["failed"] += len(failed)
+                for job in failed:
+                    err = JobFailedError(f"dispatch error: {exc}")
+                    err.__cause__ = exc
+                    job.finish(error=err)
 
     def _fp_for(self, params: dict) -> str:
         """Graph fingerprint keying one query's cache entries.
@@ -997,10 +995,10 @@ class AnalyticsEngine:
     # ------------------------------------------------------------------
     def pause(self) -> None:
         """Stop dispatching (queued jobs accumulate; used for batch demos)."""
-        self._paused = True
+        self.scheduler.pause()
 
     def resume(self) -> None:
-        self._paused = False
+        self.scheduler.resume()
 
     def status(self) -> dict[str, Any]:
         """Machine-readable serving status (counters, cache, comm stats)."""

@@ -1,4 +1,4 @@
-"""Job queue with admission control and a coalescing batch window.
+"""Job queue with admission control and pressure-driven coalescing.
 
 The scheduler sits between :meth:`AnalyticsEngine.submit` and the rank
 world.  It enforces two serving-layer policies:
@@ -6,12 +6,14 @@ world.  It enforces two serving-layer policies:
 * **admission control** — a bounded FIFO: once ``max_pending`` jobs are
   queued, further submissions raise :class:`AdmissionError` immediately
   instead of growing an unbounded backlog (fail fast under overload);
-* **batching** — the dispatcher does not pop jobs one by one.  It takes the
-  oldest job and then, for up to ``batch_window`` seconds, coalesces every
-  queued/incoming job with the same *batch key* (same analytic kind and
-  identical non-source parameters) into one multi-source run — k pending
-  BFS sources become one :func:`~repro.analytics.batched.multi_source_bfs`
-  call, k PPR seeds one blocked sweep.
+* **batching** — the dispatcher takes the oldest job plus every job
+  *already queued* with the same *batch key* (same analytic kind and
+  identical non-source parameters), up to :data:`MAX_BATCH`, and runs
+  them as one multi-source run — k pending BFS sources become one
+  :func:`~repro.analytics.batched.multi_source_bfs` call, k PPR seeds one
+  blocked sweep.  It never waits for more arrivals: jobs queue up only
+  while the dispatcher is busy, so batches grow with queue pressure and
+  an idle engine serves a lone query at once.
 
 Jobs with ``batch_key=None`` are never coalesced.  Coalescing may overtake
 earlier non-matching jobs by at most one batch (bounded reordering; each
@@ -25,7 +27,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-__all__ = ["AdmissionError", "Job", "JobScheduler"]
+__all__ = ["AdmissionError", "Job", "JobScheduler", "MAX_BATCH"]
+
+#: Hard cap on jobs coalesced into one run.
+MAX_BATCH = 16
 
 
 class AdmissionError(RuntimeError):
@@ -65,32 +70,23 @@ class Job:
 
 
 class JobScheduler:
-    """Bounded FIFO with batch-window coalescing.
+    """Bounded FIFO that coalesces queued same-key jobs.
 
     Parameters
     ----------
     max_pending:
         Admission bound on queued (not yet dispatched) jobs.
-    batch_window:
-        Seconds the dispatcher lingers after picking a batchable head job,
-        waiting for more coalescible arrivals.
-    max_batch:
-        Hard cap on jobs coalesced into one run.
     """
 
-    def __init__(self, max_pending: int = 64, batch_window: float = 0.02,
-                 max_batch: int = 16):
+    def __init__(self, max_pending: int = 64):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self.max_pending = max_pending
-        self.batch_window = batch_window
-        self.max_batch = max_batch
         self._queue: list[Job] = []
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
         self._closed = False
+        self._paused = False
 
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> None:
@@ -111,6 +107,16 @@ class JobScheduler:
             self._closed = True
             self._nonempty.notify_all()
 
+    def pause(self) -> None:
+        """Hold queued jobs back from :meth:`next_batch` until resumed."""
+        with self._lock:
+            self._paused = True
+
+    def resume(self) -> None:
+        with self._nonempty:
+            self._paused = False
+            self._nonempty.notify_all()
+
     def pending(self) -> int:
         with self._lock:
             return len(self._queue)
@@ -126,32 +132,25 @@ class JobScheduler:
         """Block up to ``poll_timeout`` for work; return a coalesced batch.
 
         Returns ``[]`` when nothing arrived (the dispatcher loops and
-        re-checks its stop flag).  When the head job is batchable the call
-        lingers up to ``batch_window`` collecting same-key jobs.
+        re-checks its stop flag).  A batchable head job takes every
+        same-key job queued at this moment with it, up to
+        :data:`MAX_BATCH`; the call never waits for later arrivals.
         """
         deadline = time.monotonic() + poll_timeout
         with self._nonempty:
-            while not self._queue:
+            while not self._queue or self._paused:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._closed:
                     return []
                 self._nonempty.wait(remaining)
             head = self._queue.pop(0)
-        if head.batch_key is None or self.max_batch == 1:
-            return [head]
-
-        batch = [head]
-        window_end = time.monotonic() + self.batch_window
-        while len(batch) < self.max_batch:
-            with self._nonempty:
-                i = 0
-                while i < len(self._queue) and len(batch) < self.max_batch:
-                    if self._queue[i].batch_key == head.batch_key:
-                        batch.append(self._queue.pop(i))
-                    else:
-                        i += 1
-                remaining = window_end - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._nonempty.wait(remaining)
-        return batch
+            if head.batch_key is None:
+                return [head]
+            batch, rest = [head], []
+            for job in self._queue:
+                if job.batch_key == head.batch_key and len(batch) < MAX_BATCH:
+                    batch.append(job)
+                else:
+                    rest.append(job)
+            self._queue = rest
+            return batch

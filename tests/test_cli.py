@@ -112,7 +112,7 @@ def test_serve_default_workload(binfile, capsys):
     rc = main(["serve", str(path), "--ranks", "2", "--repeat", "2"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "engine up" in out
+    assert "replica group up: 1 replicas" in out
     assert "[cache]" in out  # second repeat of each query hits the cache
     assert "jobs:" in out and "cache:" in out
 
@@ -136,5 +136,7 @@ def test_serve_query_file(binfile, tmp_path, capsys):
     import json
 
     status = json.loads(out[out.index("{"):])
-    assert status["jobs"]["completed"] == 6
-    assert status["comm"]["n_collectives"] > 0
+    assert status["group"]["completed"] == 6
+    (replica,) = status["per_replica"]
+    assert replica["jobs"]["completed"] == 6
+    assert replica["comm"]["n_collectives"] > 0

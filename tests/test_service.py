@@ -26,13 +26,14 @@ from repro.service import (
     canonical_params,
 )
 from repro.service.engine import JobTimeoutError
+from repro.service.scheduler import MAX_BATCH
 
 
 @pytest.fixture(scope="module")
 def engine(small_web):
     n, edges = small_web
     eng = AnalyticsEngine(3, edges=edges, n=n, partition="rand",
-                          batch_window=0.01, default_timeout=120.0)
+                          default_timeout=120.0)
     yield eng
     eng.shutdown()
 
@@ -118,6 +119,46 @@ def test_batching_coalesces_compatible_queries(engine, small_web):
     assert st["jobs"]["max_batch_size"] >= 4
     for i, lev in enumerate(levels):
         assert lev[100 + i] == 0
+
+
+def test_queue_pressure_coalesces_without_pause(engine):
+    """BFS jobs queued behind a busy dispatcher run as one dispatch."""
+    d0 = engine.status()["jobs"]["batches"]
+    busy = engine.submit("_debug_sleep", seconds=0.5)
+    ids = [engine.submit("bfs", source=200 + i) for i in range(4)]
+    levels = [engine.result(j)["levels"] for j in ids]
+    engine.result(busy)
+    st = engine.status()
+    # One dispatch for the sleep job, one for the 4 coalesced BFS jobs.
+    assert st["jobs"]["batches"] == d0 + 2
+    assert st["jobs"]["max_batch_size"] >= 4
+    for i, lev in enumerate(levels):
+        assert lev[200 + i] == 0
+
+
+def test_dispatch_error_fails_and_counts_the_batch(engine, monkeypatch):
+    """A session failure outside any rank fails the whole batch with a
+    typed error, counts it in ``jobs.failed``, and the engine serves on."""
+    real_run = engine._session.run
+    calls = []
+
+    def broken_once(*a, **kw):
+        if not calls:
+            calls.append(1)
+            raise BrokenPipeError("worker pipe closed")
+        return real_run(*a, **kw)
+
+    monkeypatch.setattr(engine._session, "run", broken_once)
+    failed0 = engine.status()["jobs"]["failed"]
+    engine.pause()
+    ids = [engine.submit("bfs", source=300 + i) for i in range(3)]
+    engine.resume()
+    for j in ids:
+        with pytest.raises(JobFailedError, match="dispatch error") as info:
+            engine.result(j)
+        assert isinstance(info.value.__cause__, BrokenPipeError)
+    assert engine.status()["jobs"]["failed"] == failed0 + 3
+    assert engine.query("bfs", source=300)["levels"][300] == 0
 
 
 def test_incompatible_directions_do_not_coalesce(engine):
@@ -223,7 +264,7 @@ def _job(i, batch_key=None):
 
 
 def test_scheduler_fifo_and_bound():
-    s = JobScheduler(max_pending=2, batch_window=0.0)
+    s = JobScheduler(max_pending=2)
     s.submit(_job(1))
     s.submit(_job(2))
     with pytest.raises(AdmissionError):
@@ -234,19 +275,31 @@ def test_scheduler_fifo_and_bound():
 
 
 def test_scheduler_coalesces_by_batch_key():
-    s = JobScheduler(max_pending=16, batch_window=0.005, max_batch=3)
-    for i in range(4):
+    s = JobScheduler(max_pending=2 * MAX_BATCH)
+    for i in range(MAX_BATCH + 1):
         s.submit(_job(i, batch_key=("bfs",)))
-    s.submit(_job(9, batch_key=("other",)))
+    s.submit(_job(99, batch_key=("other",)))
     b1 = s.next_batch()
-    assert [j.id for j in b1] == [0, 1, 2]  # max_batch caps the coalesce
+    # MAX_BATCH caps the coalesce
+    assert [j.id for j in b1] == list(range(MAX_BATCH))
     b2 = s.next_batch()
-    assert [j.id for j in b2] == [3]  # different key blocks further merging
-    assert [j.id for j in s.next_batch()] == [9]
+    assert [j.id for j in b2] == [MAX_BATCH]  # different key blocks merging
+    assert [j.id for j in s.next_batch()] == [99]
+
+
+def test_scheduler_never_waits_for_arrivals():
+    """A lone batchable job dispatches at once; a same-key job submitted
+    after the pop goes into the next batch, not this one."""
+    s = JobScheduler(max_pending=16)
+    s.submit(_job(1, batch_key=("bfs",)))
+    assert [j.id for j in s.next_batch()] == [1]
+    s.submit(_job(2, batch_key=("bfs",)))
+    assert [j.id for j in s.next_batch()] == [2]
+    assert s.pending() == 0
 
 
 def test_scheduler_none_key_never_batches():
-    s = JobScheduler(max_pending=16, batch_window=0.005)
+    s = JobScheduler(max_pending=16)
     s.submit(_job(1))
     s.submit(_job(2))
     assert [j.id for j in s.next_batch()] == [1]
@@ -263,7 +316,7 @@ def test_scheduler_close_and_drain():
 
 
 def test_scheduler_concurrent_submitters():
-    s = JobScheduler(max_pending=64, batch_window=0.0)
+    s = JobScheduler(max_pending=64)
     errs = []
 
     def feed(base):

@@ -135,10 +135,12 @@ def test_cli_serve_with_updates(stream_files, tmp_path, capsys):
     path, upd = stream_files
     qfile = tmp_path / "q.txt"
     qfile.write_text("pagerank max_iters=4\nwcc\n")
-    rc = main(["serve", str(path), "--ranks", "2",
+    rc = main(["serve", str(path), "--ranks", "2", "--repeat", "2",
                "--queries", str(qfile), "--updates", str(upd)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "applied 40 updates: epoch 1" in out
-    # The workload replays after the mutation: 4 jobs total served.
+    # The update file is fed live through the shared log while the
+    # workload runs; after the final sync the replica has applied it.
+    assert "fed update batch seq 0 (40 updates)" in out
+    assert "replica 0: epoch 1, seq 1, +30/-10 edges" in out
     assert "served 4 queries" in out
