@@ -5,8 +5,9 @@
 # the parametrized pytest module tests/test_check_corpus.py), the runtime
 # race fixtures, one smoke run per versioned benchmarks/BENCH_*.json
 # baseline (fails on ratio regression vs the recorded baseline), the
-# perfbench harness's own tests, and the tier-1 suite twice (verifier
-# on; then buffer sanitizer on as well).
+# perfbench harness's own tests, the paper-shape assertions of the
+# analytics benches, and the tier-1 suite twice (verifier on; then buffer
+# sanitizer on as well).
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -81,6 +82,17 @@ echo "== repository benchmark harness tests (perfbench/tests) =="
 # Not under testpaths: the harness's own unit tests (statistics, open-loop
 # schedule, spans, run-line contract) run here instead.
 PYTHONPATH=src python -m pytest -q perfbench/tests
+
+echo "== paper-shape benches (Table IV/V, Fig 2/5/6 assertions) =="
+# Not under testpaths either: these assert the paper's shapes (k-core and
+# Label Propagation are the long-running analytics, LP slowest on Rand-ER,
+# community-size and coreness distributions) on the kernels they time.
+PYTHONPATH=src python -m pytest -q --benchmark-disable \
+    benchmarks/bench_table4_analytics.py::test_report_table4 \
+    benchmarks/bench_fig2_strong_scaling.py \
+    benchmarks/bench_fig5_community_sizes.py \
+    benchmarks/bench_fig6_coreness.py \
+    benchmarks/bench_table5_communities.py
 
 echo "== serve smoke: 2-replica group, mixed query+update workload =="
 # End-to-end through the CLI: start a replica group, serve point and

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from ..graph.csr import expand_rows
@@ -13,7 +15,7 @@ __all__ = [
     "QUEUED",
     "combined_adjacency",
     "global_max_degree_vertex",
-    "alive_degree",
+    "row_mode",
 ]
 
 # Status-array encoding of the paper's Algorithm 2.
@@ -65,20 +67,61 @@ def global_max_degree_vertex(
     return int(best_gid), int(best_deg)
 
 
-def alive_degree(g: DistGraph, alive: np.ndarray) -> np.ndarray:
-    """Total degree of each local vertex counting only alive neighbors.
+def row_mode(
+    rows: np.ndarray,
+    values: np.ndarray,
+    n_rows: int,
+    n_values: int,
+    tiebreak: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Most frequent value of each row of a flat ``(row, value)`` list.
 
-    ``alive`` is a boolean array over local + ghost vertices; the result is
-    meaningful for local vertices (ghost entries of ``alive`` must be
-    current, i.e. halo-exchanged).
+    ``rows`` lie in ``[0, n_rows)`` and ``values`` in ``[0, n_values)``, in
+    any order.  Among a row's most frequent values the winner is the one
+    with the highest ``tiebreak(run_rows, run_values)`` key, then the
+    highest value; without ``tiebreak``, ties go to the highest value.
+
+    One packed ``row * n_values + value`` int64 key is sorted once; runs
+    of equal keys are the (row, value) counts, and the winner is a
+    segmented lexicographic maximum over each row's runs.
+
+    Returns ``(chosen, has_any)``: ``has_any[r]`` is false for rows with
+    no entries, and ``chosen[r]`` is valid only where it is true.  Raises
+    ``ValueError`` unless ``n_rows * n_values < 2**63`` (every packed key
+    fits int64).
     """
-    from ..graph.csr import segment_sum
+    if n_rows * n_values >= 1 << 63:
+        raise ValueError(
+            f"row_mode: n_rows * n_values = {n_rows} * {n_values} must be "
+            "below 2**63 to pack (row, value) into one int64 key")
+    chosen = np.zeros(n_rows, dtype=np.int64)
+    has_any = np.zeros(n_rows, dtype=bool)
+    if len(rows) == 0:
+        return chosen, has_any
+    key = rows.astype(np.int64)
+    key *= n_values
+    key += values
+    key.sort()
+    run_starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    run_counts = np.diff(np.append(run_starts, len(key)))
+    run_rows, run_vals = np.divmod(key[run_starts], n_values)
 
-    deg = np.zeros(g.n_loc, dtype=np.int64)
-    for indptr, adj in ((g.out_indexes, g.out_edges), (g.in_indexes, g.in_edges)):
-        if len(adj):
-            deg += segment_sum(indptr, alive[adj].astype(np.int64))
-    return deg
+    def row_max(score, rrows):
+        """Mask of the runs scoring their row's maximum (rrows sorted)."""
+        firsts = np.flatnonzero(np.concatenate(([True], rrows[1:] != rrows[:-1])))
+        best = np.maximum.reduceat(score, firsts)
+        return score == np.repeat(best, np.diff(np.append(firsts, len(rrows))))
+
+    top = row_max(run_counts, run_rows)
+    run_rows, run_vals = run_rows[top], run_vals[top]
+    if tiebreak is not None:
+        top = row_max(tiebreak(run_rows, run_vals), run_rows)
+        run_rows, run_vals = run_rows[top], run_vals[top]
+    # Runs are in ascending value order within a row: the last one wins.
+    last = np.append(run_rows[1:] != run_rows[:-1], True)
+    chosen[run_rows[last]] = run_vals[last]
+    has_any[run_rows[last]] = True
+    return chosen, has_any
 
 
 def global_sum(comm: Communicator, value) -> int:

@@ -9,6 +9,12 @@ survivors of stage ``i`` form (the giant component of) the ``2^i``-core.
 
 We record, for each vertex, the last stage it survived; Fig. 6's cumulative
 coreness distribution follows directly.
+
+Peeling is incremental (the work-efficient peel of Dhulipala, Blelloch &
+Shun's GBBS k-core): alive-neighbor degrees start at the total degrees and
+are decremented along the reverse adjacency of each vertex as it dies, so a
+peel round costs the edges of the vertices it removes.  Exact k-core (:mod:`~repro.analytics.kcore_exact`) uses
+the same :class:`_Peel`.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
-from .bfs import distributed_bfs
-from .common import alive_degree, global_max_degree_vertex
+from .bfs import _gather_ranges, distributed_bfs
+from .common import combined_adjacency, global_max_degree_vertex
 from .exchange import HaloExchange
 
 __all__ = ["KCoreResult", "approx_kcore"]
@@ -43,6 +49,44 @@ class KCoreResult:
     def coreness_upper_bound(self) -> np.ndarray:
         """Per-vertex coreness upper bound (``2^stage − 1``)."""
         return (1 << self.stage_removed.astype(np.int64)) - 1
+
+
+class _Peel:
+    """Alive flags of local + ghost vertices and the alive-neighbor degree
+    of each local vertex, kept current as vertices die.
+
+    Degrees count both edge directions with multiplicity; ``deg`` of a
+    dead vertex keeps shrinking but is never read.
+    """
+
+    def __init__(self, g: DistGraph, halo: HaloExchange):
+        self.n_loc, self.halo = g.n_loc, halo
+        rows, nbrs = combined_adjacency(g, "both")
+        # Reverse adjacency: rev_rows[rev_ptr[u]:rev_ptr[u + 1]] are the
+        # local rows with an adjacency entry pointing at (local or ghost) u.
+        # Only their multiset matters (it feeds a bincount), so the sort
+        # need not be stable.
+        self.rev_rows = rows[np.argsort(nbrs)]
+        self.rev_ptr = np.zeros(g.n_total + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nbrs, minlength=g.n_total),
+                  out=self.rev_ptr[1:])
+        self.deg = g.total_degrees().astype(np.int64)
+        self.alive = np.ones(g.n_total, dtype=bool)
+
+    def kill(self, local: np.ndarray) -> None:
+        """Mark the ``local`` mask (alive vertices only) dead, refresh the
+        ghosts with one halo exchange (collective), and drop the edges of
+        every newly dead local or ghost vertex from ``deg``."""
+        n_loc = self.n_loc
+        ghosts_before = self.alive[n_loc:].copy()
+        self.alive[:n_loc][local] = False
+        self.halo.exchange(self.alive)
+        dead = np.concatenate([
+            np.flatnonzero(local),
+            n_loc + np.flatnonzero(ghosts_before & ~self.alive[n_loc:])])
+        hit = _gather_ranges(self.rev_rows, self.rev_ptr[dead],
+                             self.rev_ptr[dead + 1])
+        self.deg -= np.bincount(hit, minlength=n_loc)
 
 
 def approx_kcore(
@@ -73,9 +117,10 @@ def approx_kcore(
     with comm.region("kcore"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        n_loc, n_tot = g.n_loc, g.n_total
+        n_loc = g.n_loc
 
-        alive = np.ones(n_tot, dtype=bool)
+        peel = _Peel(g, halo)
+        alive = peel.alive
         stage_removed = np.zeros(n_loc, dtype=np.int64)
         stages_run = 0
         survivors = comm.allreduce(n_loc, SUM)
@@ -85,14 +130,12 @@ def approx_kcore(
             # Peel to a fixed point of "remove alive vertices with < k alive
             # neighbors" (the (2^i)-core of the remaining graph).
             while True:
-                deg = alive_degree(g, alive)
-                kill = alive[:n_loc] & (deg < k)
+                kill = alive[:n_loc] & (peel.deg < k)
                 n_kill = comm.allreduce(int(kill.sum()), SUM)
                 if n_kill == 0:
                     break
                 stage_removed[kill] = i
-                alive[:n_loc][kill] = False
-                halo.exchange(alive)
+                peel.kill(kill)
 
             n_alive = comm.allreduce(int(alive[:n_loc].sum()), SUM)
             stages_run = i
@@ -109,8 +152,7 @@ def approx_kcore(
                 n_out = comm.allreduce(int(outside.sum()), SUM)
                 if n_out:
                     stage_removed[outside] = i
-                    alive[:n_loc][outside] = False
-                    halo.exchange(alive)
+                    peel.kill(outside)
                 survivors = n_alive - n_out
             else:
                 survivors = n_alive

@@ -10,6 +10,11 @@ Degrees count both edge directions with multiplicity (the undirected
 multigraph view the whole analytic family uses); on simple graphs without
 reciprocal duplicates this equals the textbook undirected coreness (the
 test suite checks against NetworkX ``core_number``).
+
+The peel is incremental (shared with :func:`~repro.analytics.approx_kcore`):
+alive-neighbor degrees are decremented along the reverse adjacency of each
+vertex as it dies, so each round costs the edges of the vertices it
+removes plus an O(n_loc) threshold scan.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import numpy as np
 
 from ..graph.distgraph import DistGraph
 from ..runtime import MAX, SUM, Communicator
-from .common import alive_degree
 from .exchange import HaloExchange
+from .kcore import _Peel
 
 __all__ = ["ExactKCoreResult", "exact_kcore"]
 
@@ -44,9 +49,10 @@ def exact_kcore(
     with comm.region("kcore_exact"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        n_loc, n_tot = g.n_loc, g.n_total
+        n_loc = g.n_loc
 
-        alive = np.ones(n_tot, dtype=bool)
+        peel = _Peel(g, halo)
+        alive = peel.alive
         coreness = np.zeros(n_loc, dtype=np.int64)
         n_rounds = 0
 
@@ -55,15 +61,13 @@ def exact_kcore(
         while remaining > 0:
             # Peel at threshold k to a fixed point.
             while True:
-                deg = alive_degree(g, alive)
-                kill = alive[:n_loc] & (deg < k)
+                kill = alive[:n_loc] & (peel.deg < k)
                 n_kill = comm.allreduce(int(kill.sum()), SUM)
                 n_rounds += 1
                 if n_kill == 0:
                     break
                 coreness[kill] = k - 1
-                alive[:n_loc][kill] = False
-                halo.exchange(alive)
+                peel.kill(kill)
             remaining = comm.allreduce(int(alive[:n_loc].sum()), SUM)
             k += 1
 

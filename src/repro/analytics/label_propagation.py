@@ -9,8 +9,11 @@ with ties broken randomly.  The paper runs a fixed number of iterations
 Implementation notes
 --------------------
 * The paper's inner loop builds a per-vertex label→count hash map; the
-  vectorized equivalent sorts the (vertex, neighbor-label) pairs once per
-  iteration and reduces run lengths — same O(Σdeg) work, no Python loop.
+  vectorized equivalent (:func:`~repro.analytics.common.row_mode`) packs
+  each (vertex, neighbor-label) pair into one int64 key, sorts the keys
+  once per iteration, and picks each vertex's winning run with a
+  segmented maximum (count, then hashed tie-break, then label) — same
+  O(Σdeg) work, no Python loop.
 * Updates are synchronous (all vertices see the previous iteration's
   labels).  The paper's OpenMP loop is effectively asynchronous within a
   rank; synchronous updates make runs deterministic and rank-count
@@ -27,7 +30,7 @@ import numpy as np
 
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
-from .common import combined_adjacency
+from .common import combined_adjacency, row_mode
 from .exchange import HaloExchange
 
 __all__ = ["LabelPropagationResult", "label_propagation"]
@@ -56,48 +59,6 @@ def _tie_hash(gids: np.ndarray, labels: np.ndarray, it: int, seed: int) -> np.nd
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
     return z
-
-
-def _max_count_labels(
-    rows: np.ndarray,
-    labels: np.ndarray,
-    n_rows: int,
-    row_gids: np.ndarray,
-    it: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Most frequent label per row; hashed random tie-break.
-
-    Returns ``(chosen, has_any)`` where ``chosen[v]`` is valid only when
-    ``has_any[v]`` (vertices with no neighbors keep their old label).
-    """
-    chosen = np.zeros(n_rows, dtype=np.int64)
-    has_any = np.zeros(n_rows, dtype=bool)
-    if len(rows) == 0:
-        return chosen, has_any
-    order = np.lexsort((labels, rows))
-    r_sorted = rows[order]
-    l_sorted = labels[order]
-    # Run boundaries of identical (row, label) pairs.
-    new_run = np.empty(len(order), dtype=bool)
-    new_run[0] = True
-    new_run[1:] = (r_sorted[1:] != r_sorted[:-1]) | (l_sorted[1:] != l_sorted[:-1])
-    run_starts = np.flatnonzero(new_run)
-    run_rows = r_sorted[run_starts]
-    run_labels = l_sorted[run_starts]
-    run_counts = np.diff(np.append(run_starts, len(order)))
-    # Pick, per row, the run with the highest count; ties go to the run
-    # with the highest hashed key (uniform among tied labels).
-    tiebreak = _tie_hash(row_gids[run_rows], run_labels, it, seed)
-    sel = np.lexsort((tiebreak, run_counts, run_rows))
-    row_sorted = run_rows[sel]
-    last_of_row = np.empty(len(sel), dtype=bool)
-    last_of_row[-1] = True
-    last_of_row[:-1] = row_sorted[1:] != row_sorted[:-1]
-    winners = sel[last_of_row]
-    chosen[run_rows[winners]] = run_labels[winners]
-    has_any[run_rows[winners]] = True
-    return chosen, has_any
 
 
 def label_propagation(
@@ -155,8 +116,9 @@ def label_propagation(
         changed = 0
         for it in range(n_iters):
             if mode == "sync":
-                chosen, has_any = _max_count_labels(
-                    rows, labels[nbrs], n_loc, row_gids, it, seed)
+                chosen, has_any = row_mode(
+                    rows, labels[nbrs], n_loc, g.n_global,
+                    lambda r, lab: _tie_hash(row_gids[r], lab, it, seed))
                 new_local = np.where(has_any, chosen, labels[:n_loc])
             else:
                 # Async: split local vertices into chunks; later chunks see
@@ -168,10 +130,11 @@ def label_propagation(
                     if lo == hi:
                         continue
                     in_chunk = (rows >= lo) & (rows < hi)
-                    chosen, has_any = _max_count_labels(
+                    chosen, has_any = row_mode(
                         rows[in_chunk] - lo, labels[nbrs[in_chunk]],
-                        int(hi - lo), row_gids[lo:hi], it * n_sweeps + s,
-                        seed)
+                        int(hi - lo), g.n_global,
+                        lambda r, lab: _tie_hash(
+                            row_gids[lo + r], lab, it * n_sweeps + s, seed))
                     labels[lo:hi] = np.where(has_any, chosen, labels[lo:hi])
                 new_local = labels[:n_loc].copy()
                 labels[:n_loc] = before  # restore for the change count

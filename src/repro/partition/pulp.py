@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analytics.common import row_mode
 from .block import VertexBlockPartition
 from .explicit import ExplicitPartition
 
@@ -98,27 +99,8 @@ def pulp_partition(
     for _sweep in range(n_iters):
         # Per-vertex affinity: the part holding the most neighbors.
         nbr_parts = owners[adj]
-        # Count (vertex, part) pairs via sorted runs.
-        key_order = np.lexsort((nbr_parts, rows))
-        r_sorted = rows[key_order]
-        p_sorted = nbr_parts[key_order]
-        new_run = np.empty(len(key_order), dtype=bool)
-        if len(key_order):
-            new_run[0] = True
-            new_run[1:] = (r_sorted[1:] != r_sorted[:-1]) | \
-                (p_sorted[1:] != p_sorted[:-1])
-        starts = np.flatnonzero(new_run)
-        run_rows = r_sorted[starts]
-        run_parts = p_sorted[starts]
-        run_counts = np.diff(np.append(starts, len(key_order)))
-        sel = np.lexsort((run_parts, run_counts, run_rows))
-        rr = run_rows[sel]
-        last = np.empty(len(sel), dtype=bool)
-        if len(sel):
-            last[-1] = True
-            last[:-1] = rr[1:] != rr[:-1]
-        best_part = np.full(n, -1, dtype=np.int64)
-        best_part[run_rows[sel[last]]] = run_parts[sel[last]]
+        chosen, has_any = row_mode(rows, nbr_parts, n, nparts)
+        best_part = np.where(has_any, chosen, -1)
 
         movers = np.flatnonzero((best_part >= 0) & (best_part != owners))
         if len(movers) == 0:

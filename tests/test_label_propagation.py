@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import PARTITION_KINDS, dist_run, gather_by_gid
 from repro.analytics import label_propagation
+from repro.analytics.common import row_mode
+from repro.analytics.label_propagation import _tie_hash
 
 
 def run_lp(edges, n, p, kind="vblock", **kw):
@@ -131,3 +135,80 @@ def test_negative_iters_rejected(small_web):
     n, edges = small_web
     with pytest.raises(SpmdError):
         dist_run(edges, n, 1, lambda c, g: label_propagation(c, g, n_iters=-1))
+
+
+# -- row_mode: the per-row "most frequent value" kernel of LP and PuLP -----
+
+#: Tie-break keys handed to ``row_mode``: none (ties go to the highest
+#: value, as in PuLP), a 2-valued key (ties survive it, so the value
+#: decides), and LP's own hash.
+TIEBREAKS = {
+    "none": None,
+    "coarse": lambda r, v: ((r * 7 + v * 3) % 2).astype(np.uint64),
+    "lp_hash": lambda r, v: _tie_hash(r, v, 3, 11),
+}
+
+
+def _row_mode_oracle(rows, values, n_rows, tiebreak):
+    """Per-row dict counts; winner = max((count, tiebreak, value))."""
+    def tb(r, v):
+        return 0 if tiebreak is None else int(
+            tiebreak(np.array([r]), np.array([v]))[0])
+
+    counts = [{} for _ in range(n_rows)]
+    for r, v in zip(rows.tolist(), values.tolist()):
+        counts[r][v] = counts[r].get(v, 0) + 1
+    chosen = np.zeros(n_rows, dtype=np.int64)
+    has_any = np.zeros(n_rows, dtype=bool)
+    for r, c in enumerate(counts):
+        if c:
+            chosen[r] = max((n, tb(r, v), v) for v, n in c.items())[2]
+            has_any[r] = True
+    return chosen, has_any
+
+
+@st.composite
+def row_value_pairs(draw):
+    """(n_rows, n_values, pairs): few distinct values so ties are common,
+    up to 8 rows so some stay empty, and pairs in arbitrary order."""
+    n_rows = draw(st.integers(min_value=1, max_value=8))
+    n_values = draw(st.integers(min_value=1, max_value=5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                    st.integers(0, n_values - 1)),
+                          max_size=40))
+    return n_rows, n_values, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=row_value_pairs(), tiebreak=st.sampled_from(sorted(TIEBREAKS)))
+@example(case=(3, 4, []), tiebreak="none")
+@example(case=(3, 4, [(2, 1)]), tiebreak="lp_hash")
+@example(case=(2, 3, [(1, 2), (0, 0), (1, 0), (1, 2), (1, 0), (0, 1)]),
+         tiebreak="coarse")
+def test_row_mode_matches_dict_oracle(case, tiebreak):
+    n_rows, n_values, pairs = case
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.int64)
+    tb = TIEBREAKS[tiebreak]
+    chosen, has_any = row_mode(rows, values, n_rows, n_values, tb)
+    want_chosen, want_any = _row_mode_oracle(rows, values, n_rows, tb)
+    assert (has_any == want_any).all()
+    assert (chosen[has_any] == want_chosen[has_any]).all()
+
+
+@pytest.mark.parametrize("tiebreak", sorted(TIEBREAKS))
+def test_row_mode_single_entry(tiebreak):
+    chosen, has_any = row_mode(np.array([2]), np.array([6]), 4, 7,
+                               TIEBREAKS[tiebreak])
+    assert has_any.tolist() == [False, False, True, False]
+    assert chosen[2] == 6
+
+
+def test_row_mode_key_overflow_raises():
+    """The packed key must fit int64: n_rows * n_values < 2**63."""
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        row_mode(np.array([0]), np.array([0]), 1 << 32, 1 << 31)
+    # Just below the limit the largest key, 2**63 - 3, is still exact.
+    top = (1 << 62) - 2
+    chosen, has_any = row_mode(np.array([1]), np.array([top]), 2, top + 1)
+    assert has_any.tolist() == [False, True] and chosen[1] == top
